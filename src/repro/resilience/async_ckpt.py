@@ -39,10 +39,12 @@ moment would report — so digest-based contracts (supervisor messages,
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import zipfile
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -235,6 +237,11 @@ class CheckpointWriter:
     stores its exception, re-raised to the producer at the next
     :meth:`poll`/:meth:`wait` — a failed durability write must kill the
     worker loudly, not rot silently.
+
+    The writer is *waitable*: :meth:`fileno` is a pipe that turns
+    readable whenever a write finishes, so a caller can block on the
+    writer and on its own pipes (the worker's control plane) in one
+    ``multiprocessing.connection.wait``.
     """
 
     def __init__(self, name: str = "ckpt-writer") -> None:
@@ -246,8 +253,24 @@ class CheckpointWriter:
         self._idle = threading.Event()
         self._idle.set()
         self._closed = False
+        self._wake_r, self._wake_w = os.pipe()
+        os.set_blocking(self._wake_r, False)
+        os.set_blocking(self._wake_w, False)
         self._thread = threading.Thread(target=self._run, name=name, daemon=True)
         self._thread.start()
+
+    def fileno(self) -> int:
+        """Readable once a write finished since the last :meth:`wait`."""
+        return self._wake_r
+
+    def _set_idle(self) -> None:
+        # Idle first, then the wake byte: a waiter that clears the pipe
+        # and re-checks idle can never miss a completion.
+        self._idle.set()
+        try:
+            os.write(self._wake_w, b"\x01")
+        except BlockingIOError:  # full pipe: already readable
+            pass
 
     def _run(self) -> None:
         while True:
@@ -259,7 +282,7 @@ class CheckpointWriter:
                 closed = self._closed
             if job is None:
                 if closed:
-                    self._idle.set()
+                    self._set_idle()
                     return
                 continue
             try:
@@ -270,7 +293,7 @@ class CheckpointWriter:
             else:
                 with self._lock:
                     self._results.append(result)
-            self._idle.set()
+            self._set_idle()
 
     @property
     def idle(self) -> bool:
@@ -296,30 +319,50 @@ class CheckpointWriter:
         return results
 
     def wait(
-        self, tick: Callable[[], None] | None = None, poll_interval: float = 0.05
+        self,
+        tick: Callable[[], None] | None = None,
+        poll_interval: float = 0.05,
+        block: "Callable[[list, float], object]" = _connection_wait,
     ) -> list[CheckpointDone]:
         """Block until idle (calling ``tick`` while waiting), then poll.
 
         ``tick`` lets the worker keep heartbeating through a long wait —
         a back-pressured write is the one legitimately silent span the
-        watchdog must not mistake for a hang.
+        watchdog must not mistake for a hang. ``block(waitables,
+        timeout)`` is the blocking primitive, called with ``[self]``; the
+        default is ``multiprocessing.connection.wait``, and the worker
+        passes its safe-point wait, which also wakes on (and answers)
+        control-plane queries.
         """
-        if tick is None:
-            self._idle.wait()
-        else:
-            while not self._idle.wait(poll_interval):
+        while not self._idle.is_set():
+            block([self], poll_interval)
+            self._clear_wake()
+            if tick is not None:
                 tick()
         return self.poll()
 
-    def close(self, tick: Callable[[], None] | None = None) -> list[CheckpointDone]:
+    def _clear_wake(self) -> None:
+        try:
+            while os.read(self._wake_r, 4096):
+                pass
+        except BlockingIOError:
+            pass
+
+    def close(
+        self,
+        tick: Callable[[], None] | None = None,
+        block: "Callable[[list, float], object]" = _connection_wait,
+    ) -> list[CheckpointDone]:
         """Finish the in-flight write (if any), stop the thread, poll."""
-        results = self.wait(tick)
+        results = self.wait(tick, block=block)
         with self._lock:
             if self._closed:
                 return results
             self._closed = True
             self._has_job.set()
         self._thread.join(timeout=30)
+        os.close(self._wake_r)
+        os.close(self._wake_w)
         return results + self.poll()
 
 
@@ -377,16 +420,17 @@ class ShardCheckpointer:
         return self._absorb(self.writer.poll())
 
     def wait_idle(
-        self, tick: Callable[[], None] | None = None
+        self, block: "Callable[[list, float], object]" = _connection_wait
     ) -> tuple[list[CheckpointDone], float]:
-        """Block until no write is in flight.
+        """Block until no write is in flight (``block`` as in
+        :meth:`CheckpointWriter.wait`).
 
         Returns ``(completions, stall_seconds)`` — the stall is the
         back-pressure actually charged to the ingest path, attributed to
         the write that caused it (the first completion's info).
         """
         t0 = time.perf_counter()
-        done = self._absorb(self.writer.wait(tick))
+        done = self._absorb(self.writer.wait(block=block))
         stall = time.perf_counter() - t0
         if done:
             done[0].info["stall_seconds"] = done[0].info.get("stall_seconds", 0.0) + stall
@@ -463,6 +507,8 @@ class ShardCheckpointer:
 
         self.writer.submit(job)
 
-    def close(self, tick: Callable[[], None] | None = None) -> list[CheckpointDone]:
+    def close(
+        self, block: "Callable[[list, float], object]" = _connection_wait
+    ) -> list[CheckpointDone]:
         """Join the writer, finishing any in-flight write durably."""
-        return self._absorb(self.writer.close(tick))
+        return self._absorb(self.writer.close(block=block))

@@ -76,6 +76,13 @@ from repro.runtime.worker import WorkerSpec
 from repro.resilience.faults import FaultPlan
 from repro.types import FlowIdArray
 
+#: Fixed bucket edges (ms) of the ``runtime.query.latency_ms`` histogram:
+#: sub-millisecond idle round trips up to the default 60 s deadline.
+QUERY_LATENCY_EDGES_MS = (
+    0.25, 0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500,
+    1_000, 2_000, 5_000, 10_000, 30_000, 60_000,
+)
+
 
 @dataclass(frozen=True)
 class RuntimeResult:
@@ -451,8 +458,26 @@ class StreamingRuntime:
         ``detail=True`` to get a :class:`PartialEstimate` carrying the
         per-shard status and mass coverage alongside the estimates;
         otherwise just the (possibly NaN-holed) array is returned.
+
+        Every call's round trip, degraded ones included, lands in the
+        ``runtime.query.latency_ms`` histogram.
         """
         self._require()
+        t0 = time.perf_counter()
+        try:
+            return self._query(flow_ids, method, deadline, detail)
+        finally:
+            self.metrics.histogram(
+                "runtime.query.latency_ms", QUERY_LATENCY_EDGES_MS
+            ).observe((time.perf_counter() - t0) * 1e3)
+
+    def _query(
+        self,
+        flow_ids: FlowIdArray,
+        method: str,
+        deadline: float | None,
+        detail: bool,
+    ) -> "npt.NDArray[np.float64] | PartialEstimate":
         window = self.query_deadline if deadline is None else float(deadline)
         t_end = time.monotonic() + window
         flow_ids = np.asarray(flow_ids, dtype=np.uint64)

@@ -33,6 +33,8 @@ from repro.runtime.transport import (
     ShardChannel,
     Transport,
     WorkerTransport,
+    queue_waitable,
+    wait_ready,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,16 +66,24 @@ class QueueWorkerTransport(WorkerTransport):
         return None
 
     def recv_data(self, timeout: float) -> tuple | None:
-        try:
-            return self.inbox.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
+        # One blocking wait over both readers: a control message wakes
+        # the worker as soon as it is readable.
+        inbox = queue_waitable(self.inbox)
+        if inbox in wait_ready([inbox, self.control_waitable()], timeout):
+            try:
+                return self.inbox.get_nowait()
+            except queue_mod.Empty:  # pragma: no cover - single consumer
+                return None
+        return None
 
     def recv_control(self) -> tuple | None:
         try:
             return self.control.get_nowait()
         except queue_mod.Empty:
             return None
+
+    def control_waitable(self) -> object:
+        return queue_waitable(self.control)
 
     def send(self, message: tuple) -> None:
         self.outbox.put(message)
@@ -187,6 +197,9 @@ class QueueShardChannel(ShardChannel):
             return self._outbox.get(timeout=timeout)
         except queue_mod.Empty:
             return None
+
+    def message_waitable(self) -> object | None:
+        return None if self._outbox is None else queue_waitable(self._outbox)
 
     # -- observability ------------------------------------------------------
 

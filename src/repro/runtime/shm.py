@@ -52,6 +52,7 @@ leaked ``/dev/shm`` entries.
 
 from __future__ import annotations
 
+import os
 import struct
 import time
 import uuid
@@ -69,12 +70,14 @@ from repro.runtime.transport import (
     ShardChannel,
     Transport,
     WorkerTransport,
+    queue_waitable,
+    wait_ready,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import multiprocessing.context
+    from multiprocessing.connection import Connection
     from multiprocessing.queues import Queue
-    from multiprocessing.synchronize import Semaphore
 
 __all__ = [
     "DEFAULT_RING_BYTES",
@@ -233,15 +236,17 @@ def _decode_payload(
 class ShmWorkerTransport(WorkerTransport):
     """Worker end: attach the ring by name, reassemble fragments.
 
-    ``doorbell`` is a semaphore the producer releases once per record
-    written: the worker blocks on it (futex wait, zero CPU) instead of
-    sleep-polling the ring — on few-core machines a polling consumer
-    steals exactly the cycles the busy shard needs.
+    ``doorbell`` is the read end of a pipe the producer writes one byte
+    to per record: the worker blocks on it together with the control
+    queue's pipe in one ``poll`` (zero CPU) instead of sleep-polling the
+    ring — on few-core machines a polling consumer steals exactly the
+    cycles the busy shard needs — and a control message wakes it by
+    becoming readable, never through the doorbell.
     """
 
     shm_name: str
     capacity: int
-    doorbell: "Semaphore"
+    doorbell: "Connection"
     control: "Queue"
     outbox: "Queue"
     _shm: shared_memory.SharedMemory | None = field(default=None, repr=False)
@@ -258,11 +263,21 @@ class ShmWorkerTransport(WorkerTransport):
             # is a set — the supervisor's unlink unregisters exactly once.
             self._shm = shared_memory.SharedMemory(name=self.shm_name)
         self._ring = RingConsumer(self._shm.buf, self.capacity)
+        os.set_blocking(self.doorbell.fileno(), False)
+
+    def _clear_doorbell(self) -> None:
+        # Called before re-checking the ring, never after: a record
+        # published after the check rings again, so no wake is lost.
+        try:
+            while os.read(self.doorbell.fileno(), 4096):
+                pass
+        except BlockingIOError:
+            pass
 
     def recv_data(self, timeout: float) -> tuple | None:
         deadline = time.monotonic() + timeout
         frags: bytearray | None = None
-        waited = False
+        control = self.control_waitable()
         while True:
             rec = self._ring.try_read()
             if rec is None:
@@ -270,19 +285,20 @@ class ShmWorkerTransport(WorkerTransport):
                     # Mid-chunk the producer is actively writing (we are
                     # the only consumer, so it cannot be blocked on us):
                     # wait for the rest instead of surfacing a torn chunk.
-                    self.doorbell.acquire(timeout=RING_POLL_SECONDS)
+                    wait_ready([self.doorbell], RING_POLL_SECONDS)
+                    self._clear_doorbell()
                     continue
                 remaining = deadline - time.monotonic()
-                if waited or remaining <= 0:
-                    # A wake without a record means the doorbell rang for
-                    # a control message (send_control rings it too) —
-                    # surface so the caller's loop polls the control
-                    # plane instead of riding out the timeout.
+                if remaining <= 0:
                     return None
-                self.doorbell.acquire(timeout=remaining)
-                waited = True
+                ready = wait_ready([self.doorbell, control], remaining)
+                if not ready or control in ready:
+                    # Timed out, or a control message is readable:
+                    # surface so the caller's loop polls the control
+                    # plane.
+                    return None
+                self._clear_doorbell()
                 continue
-            waited = False
             kind, flags, seq, n_packets, payload = rec
             if kind == KIND_DRAIN:
                 return ("drain",)
@@ -304,6 +320,9 @@ class ShmWorkerTransport(WorkerTransport):
             return self.control.get_nowait()
         except queue_mod.Empty:
             return None
+
+    def control_waitable(self) -> object:
+        return queue_waitable(self.control)
 
     def send(self, message: tuple) -> None:
         self.outbox.put(message)
@@ -344,7 +363,8 @@ class ShmShardChannel(ShardChannel):
         self.segment_prefix = f"repro-s{shard_id}-{uuid.uuid4().hex[:6]}-"
         self._shm: shared_memory.SharedMemory | None = None
         self._ring: RingProducer | None = None
-        self._doorbell: "Semaphore | None" = None
+        # Doorbell pipe (read end shipped to the worker, write end ours).
+        self._doorbell: "tuple[Connection, Connection] | None" = None
         self._control: "Queue | None" = None
         self._outbox: "Queue | None" = None
 
@@ -358,11 +378,12 @@ class ShmShardChannel(ShardChannel):
         )
         self._shm.buf[:CTRL_BYTES] = bytes(CTRL_BYTES)  # head = tail = 0
         self._ring = RingProducer(self._shm.buf, self.capacity)
-        self._doorbell = self._ctx.Semaphore(0)
+        self._doorbell = self._ctx.Pipe(duplex=False)
+        os.set_blocking(self._doorbell[1].fileno(), False)
         self._control = self._ctx.Queue()
         self._outbox = self._ctx.Queue()
         return ShmWorkerTransport(
-            name, self.capacity, self._doorbell, self._control, self._outbox
+            name, self.capacity, self._doorbell[0], self._control, self._outbox
         )
 
     def abandon(self) -> None:
@@ -378,6 +399,8 @@ class ShmShardChannel(ShardChannel):
             if q is not None:
                 q.close()
                 q.cancel_join_thread()
+        for end in self._doorbell or ():
+            end.close()
         self._control = self._outbox = self._doorbell = None
 
     def close(self) -> None:
@@ -425,7 +448,7 @@ class ShmShardChannel(ShardChannel):
             if ring is not None and ring.try_write(
                 KIND_CHUNK, flags, seq, len(packets), views, nbytes
             ):
-                self._doorbell.release()
+                self._ring_doorbell()
                 return True
             if wait <= 0 or time.monotonic() >= deadline:
                 return False
@@ -502,7 +525,7 @@ class ShmShardChannel(ShardChannel):
                         break
                 if restarted:
                     break
-                self._doorbell.release()
+                self._ring_doorbell()
             if not restarted:
                 return
 
@@ -515,7 +538,7 @@ class ShmShardChannel(ShardChannel):
                 raise IngestError(
                     f"shard {self.shard_id} ring stayed full for {timeout:.0f}s"
                 )
-        self._doorbell.release()
+        self._ring_doorbell()
 
     def send_drain(self, timeout: float = 60.0) -> None:
         self._send_marker(KIND_DRAIN, timeout)
@@ -526,20 +549,24 @@ class ShmShardChannel(ShardChannel):
     # -- control plane ------------------------------------------------------
 
     def send_control(self, message: tuple) -> None:
+        # Asynchronous (the queue's feeder thread writes the pipe), so a
+        # hung worker never blocks the supervisor; the worker's data wait
+        # covers the control pipe too and wakes once the bytes land.
         self._control.put(message)
-        # Ring the doorbell too: a worker idling in its data wait wakes
-        # immediately instead of riding out the poll timeout (a spurious
-        # wake is just one extra empty try_read).
-        if self._doorbell is not None:
-            self._doorbell.release()
+
+    def _ring_doorbell(self) -> None:
+        """Make the doorbell pipe readable: one byte, never blocking (a
+        full pipe is already readable)."""
+        if self._doorbell is None:
+            return
+        try:
+            os.write(self._doorbell[1].fileno(), b"\x01")
+        except BlockingIOError:
+            pass
 
     def nudge(self) -> None:
-        # The put above is asynchronous (mp.Queue feeder thread): the
-        # doorbell can ring before the message lands and the worker goes
-        # back to sleep. Re-ringing is cheap and idempotent — a spurious
-        # wake is one empty try_read plus one control poll.
-        if self._doorbell is not None:
-            self._doorbell.release()
+        # A spurious wake costs one empty try_read plus one control poll.
+        self._ring_doorbell()
 
     # -- message plane ------------------------------------------------------
 
@@ -562,6 +589,9 @@ class ShmShardChannel(ShardChannel):
             return self._outbox.get(timeout=timeout)
         except queue_mod.Empty:
             return None
+
+    def message_waitable(self) -> object | None:
+        return None if self._outbox is None else queue_waitable(self._outbox)
 
     # -- observability ------------------------------------------------------
 

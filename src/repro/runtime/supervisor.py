@@ -52,6 +52,7 @@ from repro.runtime.transport import (
     BACKPRESSURE_POLICIES,
     ShardChannel,
     Transport,
+    wait_ready,
 )
 from repro.runtime.watchdog import (
     DEFAULT_JITTER_SEED,
@@ -65,10 +66,18 @@ from repro.runtime.watchdog import (
     quarantine_chunk,
     sweep_stale_tmp,
 )
-from repro.runtime.worker import WorkerSpec, worker_main
+from repro.runtime.worker import ComputeGate, WorkerSpec, worker_main
 
 #: Seconds a worker gets to boot/recover before the supervisor gives up.
 READY_TIMEOUT = 60.0
+
+#: Longest a supervisor wait loop blocks between pumps: the cadence of
+#: liveness checks and the watchdog while it waits. A worker message
+#: ends the wait at once, so this never delays a reply.
+PUMP_SECONDS = 0.005
+
+#: Seconds a stopped worker gets to exit before it is SIGKILLed.
+STOP_TIMEOUT = 5.0
 
 
 def _core_budget() -> int:
@@ -181,16 +190,16 @@ class ShardSupervisor:
         self._ctx = mp.get_context(start_method)
         # Oversubscription guard: when shard workers outnumber the core
         # budget, uncoordinated compute thrashes the shared caches (see
-        # worker._compute_slot). One counting semaphore, sized to the
-        # budget, is shared by every worker across all restarts; when
-        # the cores cover the workers it is skipped entirely.
+        # worker._compute_slot). One counting gate, sized to the budget,
+        # is shared by every worker across all restarts; when the cores
+        # cover the workers it is skipped entirely.
         if compute_slots is not None and compute_slots < 1:
             raise ConfigError(
                 f"compute_slots must be >= 1, got {compute_slots}"
             )
         slots = _core_budget() if compute_slots is None else compute_slots
         self._compute_gate = (
-            self._ctx.Semaphore(slots) if len(specs) > slots else None
+            ComputeGate(self._ctx, slots) if len(specs) > slots else None
         )
         self.handles = [self._make_handle(spec) for spec in specs]
         self._pumping = False
@@ -284,17 +293,26 @@ class ShardSupervisor:
         for handle in self._all_handles():
             if handle.process is None:
                 continue
-            # Join in slices, re-waking the worker each time: the stop
-            # message may still be in flight behind the wake that was
-            # sent with it (see ShardChannel.nudge).
-            deadline = time.monotonic() + 5.0
-            while handle.process.is_alive() and time.monotonic() < deadline:
-                handle.channel.nudge()
-                handle.process.join(timeout=0.01)
-            if handle.process.is_alive():  # pragma: no cover - hard fallback
-                handle.process.kill()
-                handle.process.join(timeout=5.0)
+            self._join_stopped(handle)
             handle.channel.close()
+
+    @staticmethod
+    def _join_stopped(handle: WorkerHandle) -> None:
+        """Join a worker that was sent ``stop`` (the message wakes it);
+        SIGKILL it if it is still alive after :data:`STOP_TIMEOUT`."""
+        handle.process.join(timeout=STOP_TIMEOUT)
+        if handle.process.is_alive():  # pragma: no cover - hard fallback
+            handle.process.kill()
+            handle.process.join(timeout=STOP_TIMEOUT)
+
+    def _await_messages(self, handles: list[WorkerHandle], timeout: float) -> None:
+        """Block until a worker message is pending on any of ``handles``,
+        at most ``timeout`` seconds — the one wait every supervisor wait
+        loop runs between pumps."""
+        waitables = [
+            w for h in handles if (w := h.channel.message_waitable()) is not None
+        ]
+        wait_ready(waitables, timeout)
 
     # -- message pump and crash recovery ------------------------------------
 
@@ -660,13 +678,7 @@ class ShardSupervisor:
                 donor.channel.send_control(("stop",))
             except (OSError, ValueError):  # pragma: no cover
                 pass
-            deadline = time.monotonic() + 5.0
-            while donor.process.is_alive() and time.monotonic() < deadline:
-                donor.channel.nudge()
-                donor.process.join(timeout=0.01)
-            if donor.process.is_alive():  # pragma: no cover - hard fallback
-                donor.process.kill()
-                donor.process.join(timeout=5.0)
+            self._join_stopped(donor)
         donor.channel.close()
         donor.retained.clear()
         for successor in op.successors:
@@ -729,7 +741,7 @@ class ShardSupervisor:
                     f"reshard of shard {self._reshard.donor} stuck in phase "
                     f"{self._reshard.phase!r} after {timeout:.0f}s"
                 )
-            time.sleep(0.005)
+            self._await_messages(self._all_handles(), PUMP_SECONDS)
 
     # -- feeding ------------------------------------------------------------
 
@@ -826,14 +838,14 @@ class ShardSupervisor:
 
     def wait_finalized(self, timeout: float = 300.0) -> None:
         deadline = time.monotonic() + timeout
-        while any(h.finalized is None for h in self.handles):
+        while True:
             self.pump()
+            missing = [h.spec.shard_id for h in self.handles if h.finalized is None]
+            if not missing:
+                break
             if time.monotonic() > deadline:
-                missing = [
-                    h.spec.shard_id for h in self.handles if h.finalized is None
-                ]
                 raise IngestError(f"shards {missing} did not finalize in {timeout:.0f}s")
-            time.sleep(0.005)
+            self._await_messages(self.handles, PUMP_SECONDS)
         # Drained and quiet: reclaim whatever any dead incarnation
         # leaked along the way (checkpoint temp files, orphaned shm
         # segments) while every worker is provably past writing them.
@@ -930,11 +942,14 @@ class ShardSupervisor:
         error still raises — that is a genuine query failure, not a
         liveness problem."""
         handle = self.handles[shard]
-        while qid not in handle.replies:
+        while True:
             self.pump()
-            if time.monotonic() > deadline:
+            if qid in handle.replies:
+                break
+            remaining = deadline - time.monotonic()
+            if remaining < 0:
                 return None
-            time.sleep(0.005)
+            self._await_messages([handle], min(remaining, PUMP_SECONDS))
         est, err = handle.replies.pop(qid)
         if err is not None:
             raise IngestError(f"shard {shard} query failed: {err}")

@@ -38,6 +38,14 @@ The planes are deliberately split:
 - **message plane** (worker ``send`` → supervisor ``poll``): acks
   (cumulative, batched), checkpoint digests, query replies, errors.
 
+Every wait on either side is event-driven: each endpoint exposes the
+object that becomes readable when its plane has a message
+(:meth:`WorkerTransport.control_waitable`,
+:meth:`ShardChannel.message_waitable`), and :func:`wait_ready` blocks
+on any mix of them. A control message is therefore readable *before*
+the wake it rides on is delivered — the wake is its own readability —
+so a query costs its round trip, not a poll interval.
+
 Backpressure (``block`` / ``shed`` / ``error``) is implemented here,
 once, in :meth:`ShardChannel.send_chunk`; concrete transports only
 supply :meth:`ShardChannel._offer_chunk` ("take this chunk now or
@@ -48,6 +56,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from multiprocessing.connection import wait as _connection_wait
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -58,6 +67,8 @@ from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import multiprocessing.context
+    from multiprocessing.connection import Connection
+    from multiprocessing.queues import Queue
 
 #: Accepted values for the runtime's ``backpressure=`` option.
 BACKPRESSURE_POLICIES = ("block", "shed", "error")
@@ -78,6 +89,30 @@ STALL_SLICE_SECONDS = 0.05
 DEFAULT_ACK_EVERY = 8
 
 
+def wait_ready(waitables: list, timeout: float) -> list:
+    """Block until one of ``waitables`` is readable, at most ``timeout``
+    seconds; return the ready ones (empty on timeout).
+
+    ``waitables`` are anything :func:`multiprocessing.connection.wait`
+    accepts — connections, sockets, objects with ``fileno()``. With
+    nothing to wait on this is a plain sleep.
+    """
+    if not waitables:
+        time.sleep(max(timeout, 0.0))
+        return []
+    return _connection_wait(waitables, max(timeout, 0.0))
+
+
+def queue_waitable(q: "Queue") -> "Connection":
+    """The pipe end that is readable while ``q`` holds a message.
+
+    ``multiprocessing.Queue`` keeps it as ``_reader``; waiting on it is
+    what lets one blocking wait cover several queues (and other pipes)
+    at once, which ``Queue.get`` alone cannot.
+    """
+    return q._reader
+
+
 class WorkerTransport(ABC):
     """Worker-process side of one shard's link (picklable, spawn-safe).
 
@@ -95,12 +130,19 @@ class WorkerTransport(ABC):
         self, timeout: float
     ) -> tuple | None:
         """Next data-plane message — ``("chunk", seq, packets, lengths)``
-        or ``("drain",)`` — or ``None`` after ``timeout`` seconds."""
+        or ``("drain",)`` — or ``None`` after ``timeout`` seconds, or as
+        soon as a control message is readable: this is the worker's one
+        blocking wait, and it must return on either plane."""
 
     @abstractmethod
     def recv_control(self) -> tuple | None:
         """Next control-plane message (``("query", ...)`` / ``("stop",)``)
         without blocking, or ``None``."""
+
+    @abstractmethod
+    def control_waitable(self) -> object:
+        """What :func:`wait_ready` blocks on to wake when a control
+        message is readable (the worker's safe-point waits use it)."""
 
     @abstractmethod
     def send(self, message: tuple) -> None:
@@ -250,19 +292,16 @@ class ShardChannel(ABC):
 
     @abstractmethod
     def send_control(self, message: tuple) -> None:
-        """Ship one control message (query / stop); must not block on
-        data backpressure."""
+        """Ship one control message (query / stop). Must never block:
+        not on data backpressure, and not on a hung or dead worker, even
+        for a message larger than a pipe buffer."""
 
     def nudge(self) -> None:
-        """Re-wake a possibly-sleeping worker (best effort, idempotent).
-
-        Control messages may travel asynchronously (``mp.Queue`` hands
-        them to a feeder thread), so a wake-up signal sent alongside one
-        can land before the message does and the worker goes back to
-        sleep for a full poll interval. Callers waiting on a worker's
-        reaction (e.g. join-after-stop) call this periodically; the
-        default is a no-op for transports whose control plane needs no
-        separate wake-up."""
+        """Spuriously wake the worker's data wait (best effort,
+        idempotent) — the watchdog's first escalation stage for a silent
+        worker. Control delivery never needs it: a control message wakes
+        the worker by becoming readable. The default is a no-op for
+        transports with no separate data wake-up."""
         return None
 
     # -- message plane (worker -> supervisor) -------------------------------
@@ -274,6 +313,11 @@ class ShardChannel(ABC):
     @abstractmethod
     def recv(self, timeout: float) -> tuple | None:
         """One worker message, waiting at most ``timeout`` seconds."""
+
+    @abstractmethod
+    def message_waitable(self) -> object | None:
+        """What :func:`wait_ready` blocks on to wake when a worker
+        message is pending, or ``None`` between incarnations."""
 
     # -- observability ------------------------------------------------------
 

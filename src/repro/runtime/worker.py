@@ -65,11 +65,11 @@ from repro.resilience.atomic import atomic_publish
 from repro.resilience.faults import FaultPlan
 from repro.resilience.wal import WalRecord, WriteAheadLog
 from repro.runtime.partitioner import ShardMap
-from repro.runtime.transport import DEFAULT_ACK_EVERY
+from repro.runtime.transport import DEFAULT_ACK_EVERY, wait_ready
 from repro.runtime.watchdog import DEFAULT_HEARTBEAT_EVERY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from multiprocessing.synchronize import Semaphore
+    import multiprocessing.context
     from typing import Callable
 
     from repro.runtime.transport import WorkerTransport
@@ -77,7 +77,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Reason code marking an ingest-WAL header row (never a real eviction).
 CHUNK_HEADER_REASON = 255
 
-#: How long a blocked data read waits before re-polling the control channel.
+#: Longest single blocking wait in the worker loop. Every wait also wakes
+#: on a control message, so this sets only the heartbeat and liveness
+#: cadence of an idle worker, never query latency.
 POLL_SECONDS = 0.05
 
 #: Longest a worker waits for a compute slot before proceeding anyway.
@@ -86,19 +88,50 @@ POLL_SECONDS = 0.05
 GATE_TIMEOUT = 1.0
 
 
+class ComputeGate:
+    """A counting semaphore made of a pipe holding one byte per slot.
+
+    Acquire reads a byte, release writes it back — the make-jobserver
+    idiom. Unlike a ``multiprocessing.Semaphore`` the gate is waitable
+    (:meth:`fileno`), so a worker blocked on it also wakes the moment a
+    control message arrives. Picklable as a ``Process`` argument.
+    """
+
+    def __init__(self, ctx: "multiprocessing.context.BaseContext", slots: int) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        os.write(self._writer.fileno(), b"\x01" * slots)
+        os.set_blocking(self._reader.fileno(), False)
+
+    def fileno(self) -> int:
+        """Readable while a slot is (probably) free."""
+        return self._reader.fileno()
+
+    def try_acquire(self) -> bool:
+        try:
+            return len(os.read(self._reader.fileno(), 1)) == 1
+        except BlockingIOError:
+            return False
+
+    def release(self) -> None:
+        os.write(self._writer.fileno(), b"\x01")
+
+
 @contextmanager
-def _compute_slot(gate: "Semaphore | None", tick: "Callable[[], None] | None" = None):
+def _compute_slot(
+    gate: "ComputeGate | None",
+    block: "Callable[[list, float], object]" = wait_ready,
+):
     """Hold one oversubscription-guard slot for a heavy compute section.
 
     When shard workers outnumber cores, letting them all chew
     concurrently just interleaves them through the scheduler — total
     throughput cannot rise, but every context switch refills caches and
     TLBs, so total *work* does (measured ~30-40% CPU inflation with 4
-    workers on 1 core). The supervisor hands every worker one counting
-    semaphore sized to the core budget; holding it through chunk
-    processing and finalize/checkpoint keeps at most ``cores`` workers
-    computing while the rest sleep in a futex, preserving the per-shard
-    cache locality that sharding buys. With ``workers <= cores`` no
+    workers on 1 core). The supervisor hands every worker one
+    :class:`ComputeGate` sized to the core budget; holding a slot
+    through chunk processing and finalize/checkpoint keeps at most
+    ``cores`` workers computing while the rest sleep in ``poll``,
+    preserving the per-shard cache locality that sharding buys. With ``workers <= cores`` no
     gate is created and this is a no-op — true parallelism passes
     through untouched.
 
@@ -107,22 +140,20 @@ def _compute_slot(gate: "Semaphore | None", tick: "Callable[[], None] | None" = 
     concurrent compute instead of deadlocking (crash tests kill workers
     at arbitrary instants, including mid-hold).
 
-    ``tick`` is called between acquire slices so the worker can keep
-    heartbeating while it waits: a futex wait is the one legitimately
-    long silent span in the loop, and without the ticks a contended
-    gate (workers > cores, neighbors replaying after a crash) reads as
-    a hang to the watchdog — whose SIGTERM then starts the wait over
-    in a fresh incarnation, sustaining a kill loop.
+    ``block(waitables, timeout)`` is the blocking primitive. The worker
+    passes its safe-point wait, which keeps heartbeating (without it a
+    contended gate reads as a hang to the watchdog, whose SIGTERM then
+    starts the wait over in a fresh incarnation) and answers queries
+    that arrive while the slot is taken.
     """
     if gate is None:
         yield
         return
     deadline = time.monotonic() + GATE_TIMEOUT
-    got = gate.acquire(block=False)
-    while not got and time.monotonic() < deadline:
-        if tick is not None:
-            tick()
-        got = gate.acquire(timeout=0.05)
+    got = gate.try_acquire()
+    while not got and (remaining := deadline - time.monotonic()) > 0:
+        block([gate], remaining)
+        got = gate.try_acquire()
     try:
         yield
     finally:
@@ -428,7 +459,7 @@ def _answer_query(
 def worker_main(
     spec: WorkerSpec,
     transport: "WorkerTransport",
-    compute_gate: "Semaphore | None" = None,
+    compute_gate: ComputeGate | None = None,
 ) -> None:
     """Entry point of one shard worker process (module-level: picklable
     under any multiprocessing start method). ``transport`` is the
@@ -489,9 +520,9 @@ def worker_main(
             # Heartbeat on the message plane — never the data plane, so
             # the no-fault bit-identity contract is untouched. Called at
             # the loop top (at least every POLL_SECONDS when idle, once
-            # per chunk when busy) and between compute-gate acquire
-            # slices, which bounds heartbeat jitter even when the gate
-            # is contended.
+            # per chunk when busy) and in every safe-point wait slice,
+            # which bounds heartbeat jitter even when the compute gate
+            # is contended or a checkpoint write back-pressures.
             nonlocal last_heartbeat
             if spec.heartbeat_every <= 0:
                 return
@@ -500,20 +531,59 @@ def worker_main(
                 transport.send(("heartbeat", shard, last_seq, now))
                 last_heartbeat = now
 
+        def answer(msg: tuple) -> None:
+            _kind, qid, flow_ids, method = msg
+            try:
+                est = _answer_query(scheme, flow_ids, method)
+                transport.send(("reply", shard, qid, est, None))
+            except Exception as exc:  # noqa: BLE001 - reported to caller
+                transport.send(("reply", shard, qid, None, repr(exc)))
+
+        control = transport.control_waitable()
+        # A non-query control message read at a safe point is held here
+        # for the loop top, and nothing behind it is read until then, so
+        # stop and every other control message keep their order.
+        deferred: list[tuple] = []
+
+        def safe_wait(waitables: list, timeout: float) -> list:
+            """Block at a safe point — between chunks, the scheme not
+            mid-mutation — until one of ``waitables`` is ready or
+            ``timeout`` passes, heartbeating and answering the queries
+            that arrive meanwhile. Returns the ready waitables."""
+            deadline = time.monotonic() + timeout
+            while True:
+                beat()
+                watch = waitables if deferred else [*waitables, control]
+                ready = wait_ready(
+                    watch, min(deadline - time.monotonic(), POLL_SECONDS)
+                )
+                if control in ready:
+                    while not deferred and (msg := transport.recv_control()):
+                        if msg[0] == "query":
+                            answer(msg)
+                        else:
+                            deferred.append(msg)
+                hits = [w for w in ready if w is not control]
+                if hits or time.monotonic() >= deadline:
+                    return hits
+
         while True:
             beat()
             if ckptr is not None:
                 report_checkpoints(ckptr.poll())
             # Control first: queries stay responsive however deep the
-            # data plane is, and stop wins over queued work.
-            while (msg := transport.recv_control()) is not None:
+            # data plane is, and stop wins over queued work. A message
+            # held back at a safe point goes first.
+            while (
+                msg := deferred.pop() if deferred else transport.recv_control()
+            ) is not None:
                 if msg[0] == "stop":
                     flush_ack()
                     if ckptr is not None:
                         # Finish any in-flight write durably; no point
                         # reporting it — the supervisor is tearing down
                         # and boot discovers the file on disk anyway.
-                        ckptr.close(tick=beat)
+                        ckptr.close(safe_wait)
                     wal.close()
                     transport.close()  # flushes outbound queues first
                     # Everything is durable and flushed; skip interpreter
@@ -521,12 +591,7 @@ def worker_main(
                     # worker, serialized on small machines).
                     os._exit(0)
                 if msg[0] == "query":
-                    _kind, qid, flow_ids, method = msg
-                    try:
-                        est = _answer_query(scheme, flow_ids, method)
-                        transport.send(("reply", shard, qid, est, None))
-                    except Exception as exc:  # noqa: BLE001 - reported to caller
-                        transport.send(("reply", shard, qid, None, repr(exc)))
+                    answer(msg)
             item = transport.recv_data(POLL_SECONDS)
             if item is None:
                 continue
@@ -544,7 +609,7 @@ def worker_main(
                     # not make the poison chunk durable (see
                     # _apply_runtime_faults).
                     _apply_runtime_faults(spec.fault_plan, spec, seq)
-                with _compute_slot(compute_gate, tick=beat):
+                with _compute_slot(compute_gate, safe_wait):
                     append_ingest_chunk(wal, seq, packets, lengths)
                     scheme.process(packets, lengths)
                 last_seq = seq
@@ -557,9 +622,9 @@ def worker_main(
                         # The wait is the only stall the async path ever
                         # charges to ingest, and it is zero whenever the
                         # previous write finished between checkpoints.
-                        done, _stall = ckptr.wait_idle(tick=beat)
+                        done, _stall = ckptr.wait_idle(safe_wait)
                         report_checkpoints(done)
-                        with _compute_slot(compute_gate, tick=beat):
+                        with _compute_slot(compute_gate, safe_wait):
                             ckptr.capture(
                                 scheme,
                                 seq,
@@ -568,7 +633,7 @@ def worker_main(
                             )
                     else:
                         t0 = time.perf_counter()
-                        with _compute_slot(compute_gate, tick=beat):
+                        with _compute_slot(compute_gate, safe_wait):
                             digest = _save_checkpoint_atomic(
                                 scheme,
                                 spec.checkpoint_path(seq),
@@ -609,9 +674,9 @@ def worker_main(
                 if ckptr is not None:
                     # The seal checkpoint must be the newest durable
                     # state, so land the in-flight write first.
-                    done, _stall = ckptr.wait_idle(tick=beat)
+                    done, _stall = ckptr.wait_idle(safe_wait)
                     report_checkpoints(done)
-                with _compute_slot(compute_gate, tick=beat):
+                with _compute_slot(compute_gate, safe_wait):
                     digest = _save_checkpoint_atomic(
                         scheme,
                         spec.checkpoint_path(max(last_seq, 0)),
@@ -624,9 +689,9 @@ def worker_main(
                 if ckptr is not None:
                     # Join the writer before the final checkpoint: the
                     # drain contract is "everything durable on return".
-                    done, _stall = ckptr.wait_idle(tick=beat)
+                    done, _stall = ckptr.wait_idle(safe_wait)
                     report_checkpoints(done)
-                with _compute_slot(compute_gate, tick=beat):
+                with _compute_slot(compute_gate, safe_wait):
                     scheme.finalize()  # idempotent across drain re-sends
                     digest = _save_checkpoint_atomic(
                         scheme,

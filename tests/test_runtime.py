@@ -11,6 +11,8 @@ the zero-copy shared-memory rings.
 """
 
 import signal
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from repro.core.config import CaesarConfig
 from repro.core.sharded import ShardedCaesar
 from repro.errors import ConfigError, IngestError, TraceFormatError
 from repro.obs.registry import MetricsRegistry
+from repro.resilience.faults import FaultPlan
 from repro.resilience.wal import WriteAheadLog
 from repro.runtime import StreamPartitioner, chunk_stream
-from repro.runtime.client import StreamingRuntime
+from repro.runtime.client import QUERY_LATENCY_EDGES_MS, StreamingRuntime
 from repro.runtime.queues import QueueTransport
 from repro.runtime.shm import (
     CTRL_BYTES,
@@ -30,8 +33,10 @@ from repro.runtime.shm import (
     RingProducer,
     SharedMemoryRingTransport,
 )
+from repro.runtime.supervisor import STOP_TIMEOUT
 from repro.runtime.transport import resolve_transport
 from repro.runtime.worker import (
+    ComputeGate,
     WorkerSpec,
     append_ingest_chunk,
     boot_shard,
@@ -536,6 +541,191 @@ class TestLiveQueries:
             np.testing.assert_array_equal(
                 rt.query(flows), base.estimate(flows, "csm", clip_negative=True)
             )
+
+
+@pytest.mark.parametrize("transport", TRANSPORTS)
+class TestQueryPlaneLatency:
+    """The query plane is event-driven: a query wakes its worker, the
+    reply wakes the client, and workers answer at every safe point —
+    so a query costs its round trip, never a poll interval."""
+
+    def test_idle_round_trip_is_not_a_poll_interval(
+        self, tmp_path, stream, transport
+    ):
+        ids = np.arange(1024, dtype=np.uint64)
+        with StreamingRuntime(
+            make_config(), 2, state_dir=tmp_path, transport=transport
+        ) as rt:
+            rt.ingest_stream(stream, chunk_packets=1500)
+            rt.drain()
+            times = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                rt.query(ids)
+                times.append(time.perf_counter() - t0)
+        # A polled plane pays a 50 ms worker poll slice per query.
+        assert statistics.median(times) < 0.015
+
+    def test_query_answered_while_blocked_on_checkpoint_write(
+        self, tmp_path, stream, transport
+    ):
+        """Every chunk checkpoints and each write takes >= 1 s, so the
+        second chunk leaves the worker waiting on the first write; a
+        query issued then is answered from inside that wait."""
+        with StreamingRuntime(
+            make_config(),
+            1,
+            state_dir=tmp_path,
+            transport=transport,
+            checkpoint_every=1,
+            ack_every=1,
+            worker_faults={0: FaultPlan(slow_ckpt_write=1.0)},
+        ) as rt:
+            rt.ingest(stream[:2000])
+            rt.ingest(stream[2000:4000])
+            handle = rt.supervisor.handles[0]
+
+            def second_chunk_acked() -> bool:
+                rt.supervisor.pump()
+                return not handle.retained
+
+            # The ack goes out right before the checkpoint back-pressure
+            # wait, so from here on the worker sits in that wait.
+            wait_until(second_chunk_acked, desc="second chunk acked")
+            t0 = time.perf_counter()
+            est = rt.query(np.arange(64, dtype=np.uint64))
+            elapsed = time.perf_counter() - t0
+            assert np.all(np.isfinite(est))
+            assert elapsed < 0.5
+            # Answered before the first write even landed.
+            assert handle.last_checkpoint_seq == -1
+            rt.drain()
+
+    def test_stop_read_at_a_safe_point_is_kept(self, tmp_path, stream, transport):
+        """A stop that arrives while the worker waits on a checkpoint
+        write is held for the loop top, not dropped: the worker lands
+        its writes and exits by itself, well before the SIGKILL
+        fallback."""
+        rt = StreamingRuntime(
+            make_config(),
+            1,
+            state_dir=tmp_path,
+            transport=transport,
+            checkpoint_every=1,
+            ack_every=1,
+            worker_faults={0: FaultPlan(slow_ckpt_write=1.0)},
+        ).start()
+        handle = rt.supervisor.handles[0]
+        try:
+            rt.ingest(stream[:2000])
+            rt.ingest(stream[2000:4000])
+
+            def second_chunk_acked() -> bool:
+                rt.supervisor.pump()
+                return not handle.retained
+
+            wait_until(second_chunk_acked, desc="second chunk acked")
+        finally:
+            t0 = time.perf_counter()
+            rt.shutdown()
+        assert time.perf_counter() - t0 < STOP_TIMEOUT
+        assert handle.process.exitcode == 0
+        state = tmp_path / "shard0"
+        assert (state / "ck_0000000000.npz").exists()
+        assert (state / "ck_0000000001.npz").exists()
+
+    def test_large_query_to_stopped_worker_degrades(
+        self, tmp_path, stream, transport
+    ):
+        """A query far bigger than a pipe buffer, sent to a SIGSTOPped
+        worker, must not block the client: it comes back as a timeout
+        after the deadline window and its one retry window."""
+        deadline = 0.5
+        rt = StreamingRuntime(
+            make_config(),
+            1,
+            state_dir=tmp_path,
+            transport=transport,
+            hang_timeout=None,
+            query_deadline=deadline,
+        ).start()
+        try:
+            rt.ingest(stream[:2000])
+            rt.kill_worker(0, signal.SIGSTOP)
+            ids = np.arange(100_000, dtype=np.uint64)
+            t0 = time.perf_counter()
+            reply = rt.query(ids, detail=True)
+            elapsed = time.perf_counter() - t0
+            assert reply.degraded
+            assert [s.status for s in reply.shards] == ["timeout"]
+            assert np.isnan(reply.estimates).all()
+            assert elapsed < 2 * deadline + 1.0
+            rt.kill_worker(0, signal.SIGCONT)
+            # The worker catches up on the stale queries and serves again.
+            assert np.all(np.isfinite(rt.query(ids[:16], deadline=30.0)))
+        finally:
+            rt.kill_worker(0, signal.SIGCONT)
+            rt.shutdown()
+
+    def test_latency_histogram_counts_every_query(
+        self, tmp_path, stream, transport
+    ):
+        registry = MetricsRegistry()
+        rt = StreamingRuntime(
+            make_config(),
+            1,
+            state_dir=tmp_path,
+            transport=transport,
+            registry=registry,
+            hang_timeout=None,
+        ).start()
+        try:
+            rt.ingest(stream[:2000])
+            ids = np.arange(32, dtype=np.uint64)
+            for _ in range(3):
+                rt.query(ids)
+            rt.kill_worker(0, signal.SIGSTOP)
+            assert rt.query(ids, deadline=0.1, detail=True).degraded
+            rt.kill_worker(0, signal.SIGCONT)
+        finally:
+            rt.kill_worker(0, signal.SIGCONT)
+            rt.shutdown()
+        hist = registry.histogram("runtime.query.latency_ms", QUERY_LATENCY_EDGES_MS)
+        assert hist.count == 4
+        assert sum(hist.bucket_counts) == 4
+        assert registry.counter("runtime.query.degraded").value == 1
+
+
+class TestComputeGate:
+    def test_slots_are_tokens(self):
+        import multiprocessing as mp
+
+        from repro.runtime.transport import wait_ready
+
+        gate = ComputeGate(mp.get_context(), 2)
+        assert wait_ready([gate], 0) == [gate]
+        assert gate.try_acquire() and gate.try_acquire()
+        assert not gate.try_acquire()
+        assert wait_ready([gate], 0) == []
+        gate.release()
+        assert wait_ready([gate], 0) == [gate]
+        assert gate.try_acquire()
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_gated_workers_match_offline(self, tmp_path, stream, flows, transport):
+        """More workers than compute slots: the gate serializes compute
+        (and answers live queries while a worker waits for a slot)
+        without touching the results."""
+        config = make_config()
+        base = offline_baseline(config, 3, stream)
+        with StreamingRuntime(
+            config, 3, state_dir=tmp_path, transport=transport, compute_slots=1
+        ) as rt:
+            assert rt.supervisor._compute_gate is not None
+            for chunk in np.array_split(stream, 6):
+                rt.ingest(chunk)
+                assert np.all(np.isfinite(rt.query(flows[:16])))
+            assert_matches_offline(rt.drain(), rt, base, flows)
 
 
 class TestLifecycle:
